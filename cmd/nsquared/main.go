@@ -12,7 +12,6 @@ import (
 	"repro/internal/ic"
 	"repro/internal/msg"
 	"repro/internal/perfmodel"
-	"repro/internal/vec"
 
 	"repro/internal/direct"
 )
@@ -28,11 +27,9 @@ func main() {
 	var pp uint64
 	counts := make([]uint64, *procs)
 	msg.Run(*procs, func(c *msg.Comm) {
-		lo, hi := c.Rank()**n / *procs, (c.Rank()+1)**n / *procs
-		acc := make([]vec.V3, hi-lo)
-		pot := make([]float64, hi-lo)
+		mine := sys.Slab(c.Rank(), c.Size())
 		for s := 0; s < *steps; s++ {
-			ctr := direct.Ring(c, sys.Pos[lo:hi], sys.Mass[lo:hi], acc[:hi-lo], pot[:hi-lo], 1e-6)
+			ctr := direct.Ring(c, mine.Pos, mine.Mass, mine.Acc, mine.Pot, 1e-6)
 			counts[c.Rank()] += ctr.PP
 		}
 	})

@@ -11,9 +11,10 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
 	"repro/internal/cosmo"
+	"repro/internal/diag"
 	"repro/internal/grav"
+	"repro/internal/hotengine"
 	"repro/internal/msg"
 	"repro/internal/parallel"
 	"repro/internal/render"
@@ -34,38 +35,26 @@ func main() {
 	fmt.Printf("sphere+buffer: %d bodies (buffer particles carry 8x mass)\n\n", sys.Len())
 
 	const procs = 8
-	const steps = 12
-	n := sys.Len()
-	engines := make([]*parallel.Engine, procs)
-	msg.Run(procs, func(c *msg.Comm) {
-		local := core.New(0)
-		local.EnableDynamics()
-		lo, hi := c.Rank()*n/procs, (c.Rank()+1)*n/procs
-		for i := lo; i < hi; i++ {
-			local.AppendFrom(sys, i)
-		}
-		e := parallel.New(c, local, parallel.Config{
+	rc := parallel.RunConfig{
+		Config: parallel.Config{
 			MAC:  grav.MACParams{Kind: grav.MACSalmonWarren, AccelTol: 3e-3, Quad: true},
 			Eps2: 1e-6,
-		})
-		e.ComputeForces()
-		for s := 0; s < steps; s++ {
-			ctr := e.Step(5e-4)
-			if c.Rank() == 0 && s%4 == 0 {
+		},
+		Steps: 12, DT: 5e-4,
+		OnStep: func(e *parallel.Engine, s int, ctr diag.Counters) {
+			if e.C.Rank() == 0 && s%4 == 0 {
 				fmt.Printf("step %2d: %9d interactions, %2d request rounds, %5d remote cells\n",
 					s, ctr.Interactions(), e.Rounds, e.RemoteCells)
 			}
-		}
-		engines[c.Rank()] = e
-	})
-
-	out := core.New(0)
-	out.EnableDynamics()
-	for _, e := range engines {
-		for i := 0; i < e.Sys.Len(); i++ {
-			out.AppendFrom(e.Sys, i)
-		}
+		},
 	}
+	engines, werr := msg.Collect(msg.NewWorld(procs), func(c *msg.Comm) *parallel.Engine {
+		return parallel.Run(c, sys, rc)
+	})
+	if werr != nil {
+		log.Fatal(werr)
+	}
+	out, _ := hotengine.Merge(engines)
 	img := render.Project(out, vec.V3{}, 0.55, 512, 512)
 	if err := img.WritePGM("galaxy.pgm"); err != nil {
 		log.Fatal(err)

@@ -9,10 +9,8 @@ package main
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/diag"
 	"repro/internal/ic"
-	"repro/internal/vec"
 	"repro/internal/vortex"
 )
 
@@ -22,11 +20,7 @@ func main() {
 		theta = 0.5  // tree opening angle
 		dt    = 0.02
 	)
-	sys := core.New(0)
-	sys.EnableDynamics()
-	sys.EnableVortex()
-	ic.VortexRing(sys, 1.0, 1.0, sigma, vec.V3{X: -0.75}, vec.V3{Z: 1}, 48, 4, 41)
-	ic.VortexRing(sys, 1.0, 1.0, sigma, vec.V3{X: 0.75}, vec.V3{Z: 1}, 48, 4, 43)
+	sys := ic.RingPair(sigma, 48, 4)
 
 	fmt.Printf("two rings, %d vortex particles\n", sys.Len())
 	i0 := vortex.LinearImpulse(sys.Pos, sys.Alpha)

@@ -30,6 +30,7 @@ import (
 	"repro/internal/diag"
 	"repro/internal/direct"
 	"repro/internal/grav"
+	"repro/internal/hotengine"
 	"repro/internal/integrate"
 	"repro/internal/keys"
 	"repro/internal/msg"
@@ -273,7 +274,9 @@ type ParallelResult struct {
 
 // RunParallel executes the full distributed treecode on cfg.Procs
 // simulated processors. onStep, when non-nil, receives per-step info
-// (called on rank 0's data, between steps).
+// (called on rank 0's data, between steps). A failure on any rank,
+// a panic in onStep included, is returned as the world's structured
+// abort (*msg.WorldError).
 func RunParallel(cfg ParallelConfig, bodies []Body, onStep func(step int, info StepInfo)) (ParallelResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return ParallelResult{}, err
@@ -286,24 +289,13 @@ func RunParallel(cfg ParallelConfig, bodies []Body, onStep func(step int, info S
 	}
 	global := toSystem(bodies)
 	var res ParallelResult
-	perRank := make([]*parallel.Engine, cfg.Procs)
-	w := msg.Run(cfg.Procs, func(c *msg.Comm) {
-		n := global.Len()
-		local := core.New(0)
-		local.EnableDynamics()
-		lo, hi := c.Rank()*n/c.Size(), (c.Rank()+1)*n/c.Size()
-		for i := lo; i < hi; i++ {
-			local.AppendFrom(global, i)
-		}
-		e := parallel.New(c, local, parallel.Config{
-			MAC:    cfg.macParams(),
-			Bucket: cfg.Bucket,
-			Eps2:   cfg.Eps * cfg.Eps,
-		})
-		e.ComputeForces()
-		for s := 0; s < cfg.Steps; s++ {
-			ctr := e.Step(cfg.Dt)
-			if onStep != nil && c.Rank() == 0 {
+	rc := parallel.RunConfig{
+		Config: parallel.Config{MAC: cfg.macParams(), Bucket: cfg.Bucket, Eps2: cfg.Eps * cfg.Eps},
+		Steps:  cfg.Steps, DT: cfg.Dt,
+	}
+	if onStep != nil {
+		rc.OnStep = func(e *parallel.Engine, s int, ctr diag.Counters) {
+			if e.C.Rank() == 0 {
 				onStep(s, StepInfo{
 					Interactions: ctr.Interactions(),
 					Flops:        ctr.Flops(),
@@ -311,45 +303,30 @@ func RunParallel(cfg ParallelConfig, bodies []Body, onStep func(step int, info S
 				})
 			}
 		}
+	}
+	w := msg.NewWorld(cfg.Procs)
+	engines, werr := msg.Collect(w, func(c *msg.Comm) *parallel.Engine {
+		e := parallel.Run(c, global, rc)
 		kin, pot := e.Energy()
 		if c.Rank() == 0 {
 			res.Kinetic, res.Potential = kin, pot
 		}
-		perRank[c.Rank()] = e
+		return e
 	})
-
-	// Collect bodies and counters.
-	all := core.New(0)
-	all.EnableDynamics()
-	for _, e := range perRank {
-		for i := 0; i < e.Sys.Len(); i++ {
-			all.AppendFrom(e.Sys, i)
-		}
-		res.Interactions += e.Counters.Interactions()
-		res.Flops += e.Counters.Flops()
-		res.RemoteCells += e.RemoteCells
-		if e.Rounds > res.Rounds {
-			res.Rounds = e.Rounds
-		}
+	if werr != nil {
+		return ParallelResult{}, werr
 	}
-	res.Bodies = fromSystemByID(all, len(bodies))
+
+	all, total := hotengine.Merge(engines)
+	res.Bodies = fromSystem(all)
+	res.Interactions, res.Flops = total.Interactions(), total.Flops()
+	for _, e := range engines {
+		res.RemoteCells += e.RemoteCells
+		res.Rounds = max(res.Rounds, e.Rounds)
+	}
 	m := w.MaxRankTraffic()
 	res.MaxMsgs, res.MaxBytes = m.Msgs, m.Bytes
 	return res, nil
-}
-
-// fromSystemByID reassembles bodies in original order from a
-// concatenation of rank-local systems.
-func fromSystemByID(sys *core.System, n int) []Body {
-	out := make([]Body, n)
-	for i := 0; i < sys.Len(); i++ {
-		out[sys.ID[i]] = Body{
-			Pos:  [3]float64{sys.Pos[i].X, sys.Pos[i].Y, sys.Pos[i].Z},
-			Vel:  [3]float64{sys.Vel[i].X, sys.Vel[i].Y, sys.Vel[i].Z},
-			Mass: sys.Mass[i],
-		}
-	}
-	return out
 }
 
 // DirectForces computes exact softened forces (the O(N^2) reference)

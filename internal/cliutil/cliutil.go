@@ -1,7 +1,8 @@
 // Package cliutil is the drivers' shared command-line edge: one
-// validator for the flags every simulation driver exposes, and the
+// validator for the flags every simulation driver exposes, the
 // chaos-spec parser that turns "seed=7,crash=0.001" into a
-// msg.Injector. Factored here because the four drivers (treebench,
+// msg.Injector, and the Harness that owns the shared observability
+// flags and the run's instruments, world and reports. Factored here because the four drivers (treebench,
 // cosmosim, sphsim, vortexsim) and the simserve job intake must agree
 // on what a well-formed run request is -- a bad value produces a
 // one-line usage error (exit 2 at the CLI, HTTP 400 at the service),

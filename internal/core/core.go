@@ -280,6 +280,27 @@ func (s *System) AppendFrom(src *System, i int) {
 	}
 }
 
+// Slab returns a copy of rank's contiguous share of s when it is split
+// over size ranks: bodies [rank*n/size, (rank+1)*n/size), every column
+// s carries. It is the scatter every distributed run starts from;
+// Gather is its inverse.
+func (s *System) Slab(rank, size int) *System {
+	n := s.Len()
+	return Gather([]*System{s.Slice(rank*n/size, (rank+1)*n/size)})
+}
+
+// Gather concatenates parts, in order, into one new system: the
+// rank-major gather of a distributed run's per-rank systems.
+func Gather(parts []*System) *System {
+	out := New(0)
+	for _, p := range parts {
+		for i := 0; i < p.Len(); i++ {
+			out.AppendFrom(p, i)
+		}
+	}
+	return out
+}
+
 // Validate checks internal consistency (slice lengths), returning a
 // descriptive error for misuse.
 func (s *System) Validate() error {

@@ -17,6 +17,7 @@ import (
 	"repro/internal/diag"
 	"repro/internal/direct"
 	"repro/internal/grav"
+	"repro/internal/hotengine"
 	"repro/internal/ic"
 	"repro/internal/msg"
 	"repro/internal/parallel"
@@ -64,36 +65,25 @@ func cosmoSystem(grid int, seed int64) *core.System {
 }
 
 // runTreecode runs the parallel treecode for steps timesteps on procs
-// simulated ranks and returns the total counters plus interactions
-// per body per step.
-func runTreecode(sys *core.System, procs, steps int, aTol float64) (diag.Counters, float64, float64) {
-	n := sys.Len()
-	var total diag.Counters
-	start := time.Now()
-	engines := make([]*parallel.Engine, procs)
-	msg.Run(procs, func(c *msg.Comm) {
-		local := core.New(0)
-		local.EnableDynamics()
-		lo, hi := c.Rank()*n/procs, (c.Rank()+1)*n/procs
-		for i := lo; i < hi; i++ {
-			local.AppendFrom(sys, i)
-		}
-		e := parallel.New(c, local, parallel.Config{
+// simulated ranks and returns the final system and the interactions
+// per body per evaluation.
+func runTreecode(sys *core.System, procs, steps int, aTol float64) (*core.System, float64) {
+	rc := parallel.RunConfig{
+		Config: parallel.Config{
 			MAC:  grav.MACParams{Kind: grav.MACSalmonWarren, AccelTol: aTol, Quad: true},
 			Eps2: 1e-6,
-		})
-		e.ComputeForces()
-		for s := 0; s < steps; s++ {
-			e.Step(5e-4)
-		}
-		engines[c.Rank()] = e
-	})
-	host := time.Since(start).Seconds()
-	for _, e := range engines {
-		total.Add(e.Counters)
+		},
+		Steps: steps, DT: 5e-4,
 	}
-	perBodyStep := float64(total.Interactions()) / float64(n) / float64(steps+1)
-	return total, perBodyStep, host
+	engines, werr := msg.Collect(msg.NewWorld(procs), func(c *msg.Comm) *parallel.Engine {
+		return parallel.Run(c, sys, rc)
+	})
+	if werr != nil {
+		panic(werr)
+	}
+	final, total := hotengine.Merge(engines)
+	perBodyStep := float64(total.Interactions()) / float64(sys.Len()) / float64(steps+1)
+	return final, perBodyStep
 }
 
 // --- E1: the 1M-body O(N^2) benchmark (635 Gflops) ---------------------
@@ -119,11 +109,9 @@ func E1(n, procs, steps int) E1Result {
 	start := time.Now()
 	counters := make([]uint64, procs)
 	msg.Run(procs, func(c *msg.Comm) {
-		lo, hi := c.Rank()*n/procs, (c.Rank()+1)*n/procs
-		acc := make([]vec.V3, hi-lo)
-		pot := make([]float64, hi-lo)
+		mine := sys.Slab(c.Rank(), c.Size())
 		for s := 0; s < steps; s++ {
-			ctr := direct.Ring(c, sys.Pos[lo:hi], sys.Mass[lo:hi], acc, pot, 1e-6)
+			ctr := direct.Ring(c, mine.Pos, mine.Mass, mine.Acc, mine.Pot, 1e-6)
 			counters[c.Rank()] += ctr.PP
 		}
 	})
@@ -161,7 +149,7 @@ type E2Result struct {
 func E2(grid, procs, steps int) E2Result {
 	sys := cosmoSystem(grid, 2)
 	n := sys.Len()
-	_, perBody, _ := runTreecode(sys, procs, steps, 3e-3)
+	_, perBody := runTreecode(sys, procs, steps, 3e-3)
 
 	const paperN = 322_159_436.0
 	perBodyPaper := perfmodel.ScaleInteractions(perBody, float64(n), paperN)
@@ -194,7 +182,7 @@ func E2(grid, procs, steps int) E2Result {
 func E3(grid, steps int) []Row {
 	sys := cosmoSystem(grid, 3)
 	n := sys.Len()
-	_, perBody, _ := runTreecode(sys, 16, steps, 3e-3)
+	_, perBody := runTreecode(sys, 16, steps, 3e-3)
 	const paperN = 9_753_824.0
 	perBodyPaper := perfmodel.ScaleInteractions(perBody, float64(n), paperN)
 
@@ -216,7 +204,7 @@ func E3(grid, steps int) []Row {
 // E4 runs the scaled two-ring fusion, counts kernel flops exactly,
 // and models the paper's 20-hour Hyglac run.
 func E4(nTheta, nCore, steps int) []Row {
-	sys := rings(nTheta, nCore)
+	sys := ic.RingPair(0.12, nTheta, nCore)
 	n0 := sys.Len()
 	var total diag.Counters
 	start := time.Now()
@@ -250,17 +238,6 @@ func E4(nTheta, nCore, steps int) []Row {
 	}
 }
 
-func rings(nTheta, nCore int) *core.System {
-	sys := core.New(0)
-	sys.EnableDynamics()
-	sys.EnableVortex()
-	// Two offset rings with parallel axes: they approach, stretch and
-	// merge, as in the Hyglac simulation.
-	ic.VortexRing(sys, 1.0, 1.0, 0.12, vec.V3{X: -0.75}, vec.V3{Z: 1}, nTheta, nCore, 41)
-	ic.VortexRing(sys, 1.0, 1.0, 0.12, vec.V3{X: 0.75}, vec.V3{Z: 1}, nTheta, nCore, 43)
-	return sys
-}
-
 // --- E5: SC'96 combined machine (2.19 Gflops, $47/Mflop) ----------------
 
 // E5 models the 10M-body benchmark on the combined 32-processor
@@ -268,7 +245,7 @@ func rings(nTheta, nCore int) *core.System {
 func E5(grid, steps int) []Row {
 	sys := cosmoSystem(grid, 5)
 	n := sys.Len()
-	_, perBody, _ := runTreecode(sys, 32, steps, 3e-3)
+	_, perBody := runTreecode(sys, 32, steps, 3e-3)
 	const paperN = 10_000_000.0
 	perBodyPaper := perfmodel.ScaleInteractions(perBody, float64(n), paperN)
 	// Benchmark: one force evaluation.
@@ -286,7 +263,7 @@ func E5(grid, steps int) []Row {
 func E6(grid, procs, steps int) []Row {
 	sys := cosmoSystem(grid, 6)
 	n := sys.Len()
-	_, perBody, _ := runTreecode(sys, procs, steps, 3e-3)
+	_, perBody := runTreecode(sys, procs, steps, 3e-3)
 	const paperN = 322_159_436.0
 	perBodyPaper := perfmodel.ScaleInteractions(perBody, float64(n), paperN)
 

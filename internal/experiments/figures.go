@@ -4,11 +4,8 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/core"
-	"repro/internal/grav"
 	"repro/internal/msg"
 	"repro/internal/npb"
-	"repro/internal/parallel"
 	"repro/internal/perfmodel"
 	"repro/internal/render"
 	"repro/internal/vec"
@@ -24,44 +21,10 @@ import (
 func Figure(path string, grid, procs, steps, pixels int) error {
 	sys := cosmoSystem(grid, 9)
 	if steps > 0 {
-		// runTreecode redistributes bodies across simulated ranks but
-		// the engines share the same global set; evolve in place by
-		// collecting every rank's final bodies.
-		evolved := evolveForFigure(sys, procs, steps)
-		sys = evolved
+		sys, _ = runTreecode(sys, procs, steps, 3e-3)
 	}
 	img := render.Project(sys, vec.V3{}, 0.55, pixels, pixels)
 	return img.WritePGM(path)
-}
-
-func evolveForFigure(sys *core.System, procs, steps int) *core.System {
-	n := sys.Len()
-	engines := make([]*parallel.Engine, procs)
-	msg.Run(procs, func(c *msg.Comm) {
-		local := core.New(0)
-		local.EnableDynamics()
-		lo, hi := c.Rank()*n/procs, (c.Rank()+1)*n/procs
-		for i := lo; i < hi; i++ {
-			local.AppendFrom(sys, i)
-		}
-		e := parallel.New(c, local, parallel.Config{
-			MAC:  grav.MACParams{Kind: grav.MACSalmonWarren, AccelTol: 3e-3, Quad: true},
-			Eps2: 1e-6,
-		})
-		e.ComputeForces()
-		for s := 0; s < steps; s++ {
-			e.Step(5e-4)
-		}
-		engines[c.Rank()] = e
-	})
-	out := core.New(0)
-	out.EnableDynamics()
-	for _, e := range engines {
-		for i := 0; i < e.Sys.Len(); i++ {
-			out.AppendFrom(e.Sys, i)
-		}
-	}
-	return out
 }
 
 // NPBTable runs the NPB suite at the given rank count and attaches

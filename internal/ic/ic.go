@@ -68,6 +68,30 @@ func UniformSphere(n int, radius float64, seed int64) *core.System {
 	return sys
 }
 
+// GasSphere is the SPH runs' initial gas: UniformSphere(n, 1, seed)
+// at rest, with SPH fields and a smoothing length of 0.1 (about twice
+// the mean spacing for a few thousand bodies).
+func GasSphere(n int, seed int64) *core.System {
+	sys := UniformSphere(n, 1.0, seed)
+	sys.EnableSPH()
+	for i := range sys.H {
+		sys.H[i] = 0.1
+	}
+	return sys
+}
+
+// RingPair is the vortex runs' two-ring fusion setup, after the
+// paper's Hyglac simulation: two unit rings of core radius sigma with
+// parallel axes, offset by +-0.75 along x so they approach, stretch
+// and merge. Each ring has nTheta*nCore particles.
+func RingPair(sigma float64, nTheta, nCore int) *core.System {
+	sys := core.New(0)
+	sys.EnableDynamics()
+	VortexRing(sys, 1.0, 1.0, sigma, vec.V3{X: -0.75}, vec.V3{Z: 1}, nTheta, nCore, 41)
+	VortexRing(sys, 1.0, 1.0, sigma, vec.V3{X: 0.75}, vec.V3{Z: 1}, nTheta, nCore, 43)
+	return sys
+}
+
 // TwoBody returns a two-body circular orbit with separation d and
 // masses m1, m2 (softening must be << d for the orbit to be clean).
 func TwoBody(m1, m2, d float64) *core.System {

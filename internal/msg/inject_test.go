@@ -2,6 +2,7 @@ package msg
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -185,4 +186,33 @@ func TestInjectorStallTripsWatchdog(t *testing.T) {
 			t.Fatalf("stalls = %d, want 1", st.Stalls)
 		}
 	})
+}
+
+// In-flight deadlines at or just past the moment a receiver parks are
+// the lost-wakeup window of take: the maturity timer fires with
+// d <= 0 and must still wake the waiter. Latencies of 1ns..1µs on
+// every send make such deadlines common; a lost wakeup parks every
+// rank and trips the deadline. Repeated at GOMAXPROCS 1, 2 and 4,
+// which shift where the timer goroutine lands relative to the wait.
+func TestInjectorNearZeroLatencyNoLostWakeup(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		runWithDeadline(t, 20*time.Second, func() {
+			for seed := uint64(1); seed <= 8; seed++ {
+				w := NewWorld(4)
+				w.SetInjector(&Injector{Seed: seed, LatencyProb: 1, MaxLatency: time.Microsecond})
+				err := w.RunErr(func(c *Comm) {
+					for i := 0; i < 50; i++ {
+						if got := Allreduce(c, c.Rank()+i, SumI, 4); got != 6+4*i {
+							panic("allreduce result corrupted")
+						}
+					}
+				})
+				if err != nil {
+					t.Errorf("GOMAXPROCS=%d seed %d: run aborted: %v", procs, seed, err)
+				}
+			}
+		})
+	}
 }

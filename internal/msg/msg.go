@@ -191,10 +191,13 @@ func (m *mailbox) take(src, tag int, st *rankState) Message {
 		if !earliest.IsZero() {
 			// The message is here but still in flight; wake this wait
 			// when it matures. A late or spurious broadcast only causes
-			// a harmless rescan.
+			// a harmless rescan. The callback takes m.mu so it cannot
+			// fire between this arming and cond.Wait registering the
+			// waiter (d <= 0 fires at once), which would lose the
+			// wakeup.
 			d := time.Until(earliest)
 			if timer == nil {
-				timer = time.AfterFunc(d, m.cond.Broadcast)
+				timer = time.AfterFunc(d, m.wake)
 			} else {
 				timer.Reset(d)
 			}
@@ -205,6 +208,14 @@ func (m *mailbox) take(src, tag int, st *rankState) Message {
 		}
 		m.cond.Wait()
 	}
+}
+
+// wake broadcasts under the mailbox lock: the in-flight timer's
+// callback, serialized against take's scan-then-Wait.
+func (m *mailbox) wake() {
+	m.mu.Lock()
+	m.cond.Broadcast()
+	m.mu.Unlock()
 }
 
 // tryTake removes and returns the first matching message if one is
@@ -599,4 +610,15 @@ func (w *World) RunErr(fn func(*Comm)) *WorldError {
 	err := w.abortErr
 	w.abortMu.Unlock()
 	return err
+}
+
+// Collect runs fn on every rank of w, as RunErr does, and returns
+// each rank's result in rank order -- or nil and the structured abort
+// if any rank failed.
+func Collect[T any](w *World, fn func(*Comm) T) ([]T, *WorldError) {
+	out := make([]T, w.size)
+	if err := w.RunErr(func(c *Comm) { out[c.rank] = fn(c) }); err != nil {
+		return nil, err
+	}
+	return out, nil
 }

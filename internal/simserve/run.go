@@ -1,10 +1,12 @@
-// Job execution: one accepted Spec becomes one msg.World whose rank
-// bodies mirror the standalone drivers step for step -- same ICs,
-// same slab scatter, same engine configuration, same evaluation
-// sequence. That mirroring is the service's correctness contract: a
-// job's final forces are bit-identical to what treebench/sphsim/
-// vortexsim compute for the same (spec, np, seed), pinned by
-// TestGravityJobBitwiseStandalone.
+// Job execution: one accepted Spec becomes one msg.World running its
+// physics' one rank body -- parallel.Run, sph.Run or vortex.Run, the
+// functions the standalone drivers call -- on the drivers' initial
+// conditions and engine configuration. A job's final forces are
+// therefore bit-identical to what treebench/sphsim/vortexsim compute
+// for the same (spec, np, seed) by construction: there is one code
+// path. TestGravityJobBitwiseStandalone and
+// TestSPHAndVortexJobsBitwiseStandalone still pin it against
+// references written out independently of this file.
 
 package simserve
 
@@ -15,19 +17,24 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/diag"
 	"repro/internal/grav"
+	"repro/internal/hotengine"
 	"repro/internal/ic"
-	"repro/internal/integrate"
 	"repro/internal/msg"
 	"repro/internal/parallel"
 	"repro/internal/sph"
-	"repro/internal/vec"
 	"repro/internal/vortex"
 )
 
-// vortexCore is the fixed points-across-core of vortex-ring jobs
-// (the driver's -ncore default).
-const vortexCore = 4
+// vortexCore is the fixed points-across-core of vortex-ring jobs (the
+// driver's -ncore default); vortexSigma and vortexTheta are the
+// driver's -sigma and -theta defaults.
+const (
+	vortexCore  = 4
+	vortexSigma = 0.12
+	vortexTheta = 0.5
+)
 
 // runJob moves a dequeued job through running to a terminal state.
 // Every failure mode of the world -- rank panic, injected crash,
@@ -82,9 +89,10 @@ func (m *Manager) runJob(j *Job) {
 	}
 }
 
-// execute builds the job's world and runs its physics. The returned
-// error is the structured world abort (or cancellation); a nil error
-// means every rank completed and res holds the digest.
+// execute builds the job's world and runs its physics through the
+// physics' one rank body (parallel.Run, sph.Run, vortex.Run). The
+// returned error is the structured world abort (or cancellation); a
+// nil error means every rank completed and res holds the digest.
 func (m *Manager) execute(j *Job) (*Result, error) {
 	sp := j.Spec
 	w := msg.NewWorld(sp.NP)
@@ -98,165 +106,75 @@ func (m *Manager) execute(j *Job) (*Result, error) {
 		return nil, errCancelled
 	}
 
-	systems := make([]*core.System, sp.NP)
+	in := hotengine.Instruments{Telemetry: j.tel}
+	var final *core.System
+	var total diag.Counters
 	var werr *msg.WorldError
-	var interactions, flops uint64
+	var interactions uint64
 	t0 := time.Now()
 	switch sp.Physics {
 	case PhysicsGravity:
-		engines := make([]*parallel.Engine, sp.NP)
-		werr = w.RunErr(gravityRank(j, engines))
-		if werr == nil {
-			for r, e := range engines {
-				systems[r] = e.Sys
-				interactions += e.Counters.Interactions()
-				flops += e.Counters.Flops()
-			}
+		var global *core.System
+		switch sp.IC {
+		case ICSphere:
+			global = ic.UniformSphere(sp.N, 1.0, sp.Seed)
+		default:
+			global = ic.Plummer(sp.N, 1.0, sp.Seed)
 		}
+		rc := parallel.RunConfig{
+			Config: parallel.Config{
+				MAC:    grav.MACParams{Kind: grav.MACSalmonWarren, AccelTol: sp.Tol, Quad: true},
+				Bucket: 16, Eps2: 1e-6,
+				EvalWorkers: sp.EvalWorkers, PrefetchDepth: sp.Prefetch,
+			},
+			Steps: sp.Steps, DT: sp.DT, Block: sp.DTMode == "block", Eta: sp.Eta,
+			Instruments: in,
+		}
+		final, total, werr = run(w, func(c *msg.Comm) *parallel.Engine { return parallel.Run(c, global, rc) })
+		interactions = total.Interactions()
 	case PhysicsSPH: // headline count includes the SPH pair kernel
-		engines := make([]*sph.ParallelEngine, sp.NP)
-		werr = w.RunErr(sphRank(j, engines))
-		if werr == nil {
-			for r, e := range engines {
-				systems[r] = e.Sys
-				interactions += e.Counters.Interactions() + e.Counters.SPHPairs
-				flops += e.Counters.Flops()
-			}
+		global := ic.GasSphere(sp.N, sp.Seed)
+		rc := sph.RunConfig{
+			ParallelConfig: sph.ParallelConfig{
+				Params:  sph.Params{EOS: sph.Isothermal, CS: 0.8, AlphaVisc: 1, BetaVisc: 2},
+				Gravity: true, Eps2: 1e-4,
+				EvalWorkers: sp.EvalWorkers, PrefetchDepth: sp.Prefetch,
+			},
+			Steps: sp.Steps, DT: sp.DT, Instruments: in,
 		}
+		final, total, werr = run(w, func(c *msg.Comm) *sph.ParallelEngine { return sph.Run(c, global, rc) })
+		interactions = total.Interactions() + total.SPHPairs
 	case PhysicsVortex: // vortex work is all in the VortexPP kernel
-		engines := make([]*vortex.ParallelEngine, sp.NP)
-		werr = w.RunErr(vortexRank(j, engines))
-		if werr == nil {
-			for r, e := range engines {
-				systems[r] = e.Sys
-				interactions += e.Counters.VortexPP
-				flops += e.Counters.Flops()
-			}
+		global := ic.RingPair(vortexSigma, sp.N, vortexCore)
+		rc := vortex.RunConfig{
+			Sigma: vortexSigma, Theta: vortexTheta,
+			EvalWorkers: sp.EvalWorkers, PrefetchDepth: sp.Prefetch,
+			Steps: sp.Steps, DT: sp.DT, Instruments: in,
 		}
+		final, total, werr = run(w, func(c *msg.Comm) *vortex.ParallelEngine { return vortex.Run(c, global, rc) })
+		interactions = total.VortexPP
 	}
 	if werr != nil {
 		return nil, werr
 	}
-	res := &Result{
+	return &Result{
+		Bodies:       final.Len(),
 		Interactions: interactions,
-		Flops:        flops,
-		ForcesHash:   ForcesHash(systems, sp.Physics == PhysicsVortex),
+		Flops:        total.Flops(),
+		ForcesHash:   ForcesHash([]*core.System{final}, sp.Physics == PhysicsVortex),
 		WallMs:       float64(time.Since(t0).Nanoseconds()) / 1e6,
-	}
-	for _, s := range systems {
-		res.Bodies += s.Len()
-	}
-	return res, nil
+	}, nil
 }
 
-// scatter builds rank r's contiguous slab of the global system --
-// the same lo:hi split every driver uses.
-func scatter(global *core.System, local *core.System, rank, size int) {
-	n := global.Len()
-	lo, hi := rank*n/size, (rank+1)*n/size
-	for i := lo; i < hi; i++ {
-		local.AppendFrom(global, i)
+// run executes a job's rank body on every rank of w and merges the
+// ranks' final systems (rank-major) and counters.
+func run[E hotengine.Finished](w *msg.World, body func(*msg.Comm) E) (*core.System, diag.Counters, *msg.WorldError) {
+	engines, werr := msg.Collect(w, body)
+	if werr != nil {
+		return nil, diag.Counters{}, werr
 	}
-}
-
-// gravityRank is the per-rank body of a gravity job, mirroring
-// cmd/treebench: Plummer (or cold-sphere) ICs, Salmon-Warren MAC with
-// quadrupoles, one initial force evaluation then Steps KDK steps.
-func gravityRank(j *Job, engines []*parallel.Engine) func(*msg.Comm) {
-	sp := j.Spec
-	var global *core.System
-	switch sp.IC {
-	case ICSphere:
-		global = ic.UniformSphere(sp.N, 1.0, sp.Seed)
-	default:
-		global = ic.Plummer(sp.N, 1.0, sp.Seed)
-	}
-	return func(c *msg.Comm) {
-		local := core.New(0)
-		local.EnableDynamics()
-		scatter(global, local, c.Rank(), c.Size())
-		e := parallel.New(c, local, parallel.Config{
-			MAC:    grav.MACParams{Kind: grav.MACSalmonWarren, AccelTol: sp.Tol, Quad: true},
-			Bucket: 16, Eps2: 1e-6,
-			EvalWorkers: sp.EvalWorkers, PrefetchDepth: sp.Prefetch,
-		})
-		if sp.DTMode == "block" {
-			e.Stepper.Scheme = integrate.Block
-			e.Stepper.Eta = sp.Eta
-			e.Stepper.Eps = math.Sqrt(1e-6)
-		}
-		t0 := time.Now()
-		e.ComputeForces()
-		// The initial evaluation is sample 1: energies are current
-		// here, giving the job's drift monitor its E0 baseline.
-		j.tel.Contribute(c.Rank(), e.Telemetry(time.Since(t0).Nanoseconds()))
-		for s := 0; s < sp.Steps; s++ {
-			t0 = time.Now()
-			e.Step(sp.DT)
-			j.tel.Contribute(c.Rank(), e.Telemetry(time.Since(t0).Nanoseconds()))
-		}
-		engines[c.Rank()] = e
-	}
-}
-
-// sphRank mirrors cmd/sphsim's distributed gas run: a cold uniform
-// gas sphere under isothermal pressure plus self-gravity.
-func sphRank(j *Job, engines []*sph.ParallelEngine) func(*msg.Comm) {
-	sp := j.Spec
-	global := ic.UniformSphere(sp.N, 1.0, sp.Seed)
-	global.EnableSPH()
-	for i := range global.H {
-		global.H[i] = 0.1
-	}
-	return func(c *msg.Comm) {
-		local := core.New(0)
-		local.EnableDynamics()
-		local.EnableSPH()
-		scatter(global, local, c.Rank(), c.Size())
-		e := sph.NewParallel(c, local, sph.ParallelConfig{
-			Params:  sph.Params{EOS: sph.Isothermal, CS: 0.8, AlphaVisc: 1, BetaVisc: 2},
-			Gravity: true, Eps2: 1e-4,
-			EvalWorkers: sp.EvalWorkers, PrefetchDepth: sp.Prefetch,
-		})
-		t0 := time.Now()
-		e.Eval()
-		j.tel.Contribute(c.Rank(), e.Telemetry(time.Since(t0).Nanoseconds()))
-		for s := 0; s < sp.Steps; s++ {
-			t0 = time.Now()
-			e.Step(sp.DT)
-			j.tel.Contribute(c.Rank(), e.Telemetry(time.Since(t0).Nanoseconds()))
-		}
-		engines[c.Rank()] = e
-	}
-}
-
-// vortexRank mirrors cmd/vortexsim's distributed run: two offset
-// vortex rings (N points around, vortexCore across) advected with
-// the vortex particle method.
-func vortexRank(j *Job, engines []*vortex.ParallelEngine) func(*msg.Comm) {
-	sp := j.Spec
-	const sigma, theta = 0.12, 0.5
-	global := core.New(0)
-	global.EnableDynamics()
-	global.EnableVortex()
-	ic.VortexRing(global, 1.0, 1.0, sigma, vec.V3{X: -0.75}, vec.V3{Z: 1}, sp.N, vortexCore, 41)
-	ic.VortexRing(global, 1.0, 1.0, sigma, vec.V3{X: 0.75}, vec.V3{Z: 1}, sp.N, vortexCore, 43)
-	return func(c *msg.Comm) {
-		local := core.New(0)
-		local.EnableDynamics()
-		local.EnableVortex()
-		scatter(global, local, c.Rank(), c.Size())
-		e := vortex.NewParallel(c, local, sigma, theta)
-		if sp.EvalWorkers > 0 || sp.Prefetch > 0 {
-			e.EnableOverlap(sp.EvalWorkers, sp.Prefetch)
-		}
-		for s := 0; s < sp.Steps; s++ {
-			t0 := time.Now()
-			e.Step(sp.DT)
-			j.tel.Contribute(c.Rank(), e.Telemetry(time.Since(t0).Nanoseconds()))
-		}
-		engines[c.Rank()] = e
-	}
+	final, total := hotengine.Merge(engines)
+	return final, total, nil
 }
 
 // ForcesHash digests the final per-body state in rank-major, local

@@ -18,6 +18,9 @@ import (
 	"repro/internal/ic"
 	"repro/internal/msg"
 	"repro/internal/parallel"
+	"repro/internal/sph"
+	"repro/internal/vec"
+	"repro/internal/vortex"
 )
 
 func discardLog() *slog.Logger {
@@ -53,9 +56,9 @@ func waitTerminal(t *testing.T, j *Job, timeout time.Duration) State {
 
 // TestGravityJobBitwiseStandalone pins the service's correctness
 // contract: a gravity job's final forces are bit-identical to the
-// standalone treebench run of the same (n, np, steps, seed). The
-// reference below duplicates the driver's rank body independently of
-// run.go, so a drift in either copy fails the test.
+// standalone treebench run of the same (n, np, steps, seed). Both run
+// parallel.Run; the reference below writes the rank body out by hand,
+// so a change to the shared body that moves a force bit fails here.
 func TestGravityJobBitwiseStandalone(t *testing.T) {
 	const n, np, steps = 600, 4, 2
 	m := testManager(t, Config{Workers: 2})
@@ -74,7 +77,7 @@ func TestGravityJobBitwiseStandalone(t *testing.T) {
 		t.Fatalf("result bodies = %d, want %d", res.Bodies, n)
 	}
 
-	// Standalone reference: the treebench main loop, verbatim.
+	// Standalone reference: the rank body written out by hand.
 	global := ic.Plummer(n, 1.0, 42)
 	systems := make([]*core.System, np)
 	w := msg.NewWorld(np)
@@ -179,6 +182,101 @@ func TestSPHAndVortexJobs(t *testing.T) {
 		}
 		if sp.Physics == PhysicsVortex && res.Bodies != 2*sp.N*vortexCore {
 			t.Fatalf("vortex bodies = %d, want %d", res.Bodies, 2*sp.N*vortexCore)
+		}
+	}
+}
+
+// TestSPHAndVortexJobsBitwiseStandalone extends the bitwise contract
+// to the other two physics: an SPH job (with sphsim's IC seed 99) and
+// a vortex job hash equal to the standalone sphsim / vortexsim
+// distributed runs, written out below by hand rather than through
+// sph.Run and vortex.Run. The pipelined variants (evalworkers,
+// prefetch) must hash the same, since the walk/eval pipeline never
+// changes results.
+func TestSPHAndVortexJobsBitwiseStandalone(t *testing.T) {
+	const np = 2
+	const sphN, sphSteps, sphDT = 200, 2, 4e-3
+	const ringN, vortexSteps, vortexDT = 10, 2, 0.02
+
+	sphRef := func() string {
+		systems := make([]*core.System, np)
+		werr := msg.NewWorld(np).RunErr(func(c *msg.Comm) {
+			global := ic.UniformSphere(sphN, 1.0, 99)
+			global.EnableSPH()
+			for i := range global.H {
+				global.H[i] = 0.1
+			}
+			lo, hi := c.Rank()*sphN/np, (c.Rank()+1)*sphN/np
+			local := core.New(0)
+			local.EnableDynamics()
+			local.EnableSPH()
+			for i := lo; i < hi; i++ {
+				local.AppendFrom(global, i)
+			}
+			e := sph.NewParallel(c, local, sph.ParallelConfig{
+				Params:  sph.Params{EOS: sph.Isothermal, CS: 0.8, AlphaVisc: 1, BetaVisc: 2},
+				Gravity: true, Eps2: 1e-4,
+			})
+			e.Eval()
+			for s := 0; s < sphSteps; s++ {
+				e.Step(sphDT)
+			}
+			systems[c.Rank()] = e.Sys
+		})
+		if werr != nil {
+			t.Fatalf("sph reference aborted: %v", werr)
+		}
+		return ForcesHash(systems, false)
+	}()
+
+	vortexRef := func() string {
+		global := core.New(0)
+		global.EnableDynamics()
+		global.EnableVortex()
+		ic.VortexRing(global, 1.0, 1.0, 0.12, vec.V3{X: -0.75}, vec.V3{Z: 1}, ringN, 4, 41)
+		ic.VortexRing(global, 1.0, 1.0, 0.12, vec.V3{X: 0.75}, vec.V3{Z: 1}, ringN, 4, 43)
+		n := global.Len()
+		systems := make([]*core.System, np)
+		werr := msg.NewWorld(np).RunErr(func(c *msg.Comm) {
+			lo, hi := c.Rank()*n/np, (c.Rank()+1)*n/np
+			local := core.New(0)
+			local.EnableDynamics()
+			local.EnableVortex()
+			for i := lo; i < hi; i++ {
+				local.AppendFrom(global, i)
+			}
+			e := vortex.NewParallel(c, local, 0.12, 0.5)
+			for s := 0; s < vortexSteps; s++ {
+				e.Step(vortexDT)
+			}
+			systems[c.Rank()] = e.Sys
+		})
+		if werr != nil {
+			t.Fatalf("vortex reference aborted: %v", werr)
+		}
+		return ForcesHash(systems, true)
+	}()
+
+	m := testManager(t, Config{Workers: 2})
+	cases := []struct {
+		sp  Spec
+		ref string
+	}{
+		{Spec{Physics: PhysicsSPH, N: sphN, NP: np, Steps: sphSteps, Seed: 99}, sphRef},
+		{Spec{Physics: PhysicsSPH, N: sphN, NP: np, Steps: sphSteps, Seed: 99, EvalWorkers: 2, Prefetch: 1}, sphRef},
+		{Spec{Physics: PhysicsVortex, N: ringN, NP: np, Steps: vortexSteps}, vortexRef},
+		{Spec{Physics: PhysicsVortex, N: ringN, NP: np, Steps: vortexSteps, EvalWorkers: 2, Prefetch: 1}, vortexRef},
+	}
+	for _, tc := range cases {
+		j, err := m.Submit(tc.sp)
+		if err != nil {
+			t.Fatalf("%+v: %v", tc.sp, err)
+		}
+		if st := waitTerminal(t, j, 60*time.Second); st != StateCompleted {
+			t.Fatalf("%+v ended %s: %s", tc.sp, st, j.Status().Error)
+		}
+		if got := j.Result().ForcesHash; got != tc.ref {
+			t.Errorf("%+v: service forces hash %s != standalone %s", tc.sp, got, tc.ref)
 		}
 	}
 }

@@ -253,8 +253,9 @@ func (s *Sampler) Contribute(rank int, rs RankSample) {
 	sl.mu.Lock()
 	sl.rs = rs
 	sl.mu.Unlock()
-	if int(s.arrived.Add(1)) == s.cfg.NP {
-		s.arrived.Store(0)
+	// arrived only grows: a reset after the NP-th arrival could erase
+	// a rank that already arrived for the next step in between.
+	if s.arrived.Add(1)%int64(s.cfg.NP) == 0 {
 		s.assemble()
 	}
 }

@@ -18,6 +18,9 @@ go test -race -count=1 ./internal/trace ./internal/metrics ./internal/diag ./int
 	./internal/core ./internal/tree ./internal/domain ./internal/abm ./internal/hotengine \
 	./internal/integrate ./internal/telemetry ./internal/parallel ./internal/simserve \
 	./internal/cliutil
+echo "== go test -race repeats (lost-wakeup and lost-step regressions; a 1-in-20 flake fails here)"
+go test -race -count=20 -timeout 300s -run Injector ./internal/msg
+go test -race -count=200 -timeout 300s -run TestConcurrentHTTPReadsUnderContribution ./internal/telemetry
 echo "== telemetry smoke (treebench -http: scrape /metrics /report /series /health)"
 sh scripts/telemetry_smoke.sh
 echo "== simserve smoke (daemon + crash-injected job contained + bench throughput)"
